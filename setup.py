@@ -4,8 +4,8 @@ numpy is a hard dependency: the scheduler core
 (:mod:`repro.hw.sched_kernel`) runs its placement/probe loops over
 dense arrays, the workloads seed their input arrays from it, and the
 simulators check values against numpy references.  The pure-Python
-scheduler reference (``REPRO_SCHED_KERNEL=0``) exists for parity
-testing, not for numpy-free installs.
+scheduler oracle the array core is checked against lives in the test
+suite (``tests/hw/reference_sched.py``), not in the package.
 """
 from setuptools import find_packages, setup
 

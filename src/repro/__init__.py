@@ -5,7 +5,7 @@ Layered public API:
 
 * :mod:`repro.ir` — typed structured loop IR, builder, interpreter;
 * :mod:`repro.analysis` — liveness, induction variables, dependence tests;
-* :mod:`repro.transforms` — classical loop transforms incl. unroll-and-jam;
+* :mod:`repro.transforms` — unroll-and-jam and three-address lowering;
 * :mod:`repro.core` — the unroll-and-squash transformation;
 * :mod:`repro.hw` — operator library with a generalized resource model,
   scheduler registry, area/register model;

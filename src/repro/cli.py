@@ -15,7 +15,7 @@ Commands
                 (``--best``), and skip records;
 ``bench``       measure the sweep hot path (cold / warm / warm-recompile
                 phases with per-stage timings and cache hit rates, plus
-                a schedule-only numpy-vs-python A/B) and write a
+                verifier, tracing and chaos A/Bs) and write a
                 standardized ``BENCH_*.json`` record; every acev sweep
                 whose factors include 2 also byte-checks the formatted
                 tables against the golden fixtures;

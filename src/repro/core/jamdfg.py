@@ -20,9 +20,12 @@ symbol tables.  Because every step from the fused statements onward is
 the real code path operating on content-identical input, the resulting
 :class:`~repro.pipeline.analysis.BaseAnalysis` — DFG node ids, SSA
 names, ``t3_*`` temporaries, legality reason strings — is identical to
-what the program-level route produces.  ``REPRO_DFG_JAM=0`` pins the
-program-level route for differential checks (see
-``tests/pipeline/test_jamdfg.py``).
+what the program-level route produces, which
+``tests/pipeline/test_jamdfg.py`` checks by running that route
+(:func:`~repro.transforms.unroll_and_jam.unroll_and_jam`, nest
+re-location, base analysis) beside this one.  The pipeline still takes
+the program-level route when another nest shares the outer induction
+variable, where re-locating the fused nest could pick a different loop.
 
 What is skipped, and why it is sound:
 

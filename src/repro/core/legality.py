@@ -7,9 +7,8 @@ Requirements checked, in the thesis's order:
 2. tiled outer iterations are parallel (scalar + array dependence test,
    §4.2 Cases 1/2/3) — delegated to
    :func:`repro.analysis.parallel.check_outer_parallel`;
-3. the inner loop comprises a **single basic block** (apply
-   :func:`repro.transforms.if_convert` first when conditionals are
-   convertible);
+3. the inner loop comprises a **single basic block** (no conditionals
+   or nested loops in its body);
 4. the inner loop has a **constant iteration count across outer
    iterations** (constant bounds independent of the outer IV and of
    anything the outer body writes), and executes at least once

@@ -52,7 +52,10 @@ __all__ = ["format_bench", "run_sweep_bench"]
 #: re-run with ``REPRO_TRACE=full``, recording the tracing wall-time
 #: delta (``overhead_s``) and merged event count, asserting traced
 #: results are identical and the merged stream is a valid Chrome trace.
-SCHEMA = 6
+#: 7 = removed the ``sched_hotpath`` phase and the ``sched_kernel`` /
+#: ``dfg_jam`` provenance fields: one scheduler core and one jam route
+#: remain, so there is nothing left to A/B or to attribute.
+SCHEMA = 7
 
 
 def _golden_dir() -> pathlib.Path:
@@ -76,78 +79,6 @@ def _phase(queries, jobs) -> dict:
         "cache_counters": dict(sorted(result.cache_counters.items())),
     }
     return record, result
-
-
-def _sched_hotpath_phase(kernels: Sequence[str], factors: Sequence[int],
-                         specs: Sequence[str], scheduler: str) -> dict:
-    """Schedule-only A/B of the two scheduler cores over warm analyses.
-
-    Builds (and excludes from timing) every pipelined design's analyzed
-    DFG for each backend, then times pure ``schedule()`` calls twice —
-    numpy core vs pure-Python reference — with the II-search memo
-    disabled so both sides perform the full candidate-II search.  This
-    isolates the scheduler inner loops the sweep phases only see mixed
-    with front-end and cache effects.
-    """
-    import os
-
-    from repro.errors import ReproError
-    from repro.hw import sched_kernel
-    from repro.hw.schedulers import scheduler_by_name
-    from repro.nimble import decode_target
-    from repro.pipeline.analysis import base_analyzed_dfg, \
-        jam_analyzed_dfg, squash_analyzed_dfg
-    from repro.workloads import benchmark_by_name
-
-    designs = []
-    for spec in specs:
-        target = decode_target(spec)
-        lib = target.library
-        strategy = scheduler_by_name(scheduler
-                                     or getattr(target, "scheduler", ""))
-        for kern in kernels:
-            bm = benchmark_by_name(kern)
-            prog = bm.build(**bm.eval_kwargs)
-            from repro.analysis.loops import find_kernel_nests, \
-                find_loop_nests
-            nests = find_kernel_nests(prog) or find_loop_nests(prog)
-            nest = nests[0]
-            builders = [lambda: base_analyzed_dfg(prog, nest)]
-            for f in factors:
-                builders.append(
-                    lambda f=f: squash_analyzed_dfg(prog, nest, f,
-                                                    delay_fn=lib.delay))
-                builders.append(lambda f=f: jam_analyzed_dfg(prog, nest, f))
-            for build in builders:
-                try:
-                    designs.append((build(), lib, strategy))
-                except ReproError:
-                    continue  # illegal variants don't reach the scheduler
-
-    phase: dict = {"designs": len(designs), "specs": list(specs)}
-    saved = {k: os.environ.get(k)
-             for k in ("REPRO_SCHED_KERNEL", "REPRO_ANALYSIS_CACHE")}
-    try:
-        os.environ["REPRO_ANALYSIS_CACHE"] = "0"  # no II-memo shortcuts
-        for label, knob in (("numpy", "1"), ("python", "0")):
-            os.environ["REPRO_SCHED_KERNEL"] = knob
-            before = dict(sched_kernel.kernel_counters())
-            t0 = time.perf_counter()
-            for analyzed, lib, strategy in designs:
-                strategy.schedule(analyzed.dfg, lib, edges=analyzed.edges)
-            phase[f"{label}_s"] = round(time.perf_counter() - t0, 4)
-            after = sched_kernel.kernel_counters()
-            phase[f"{label}_attempts"] = {
-                k: after[k] - before[k] for k in after}
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-    if phase.get("numpy_s"):
-        phase["speedup"] = round(phase["python_s"] / phase["numpy_s"], 2)
-    return phase
 
 
 def _resilience_phase(kernels: Sequence[str], target_spec: str,
@@ -340,20 +271,11 @@ def run_sweep_bench(factors: Sequence[int] = (2, 4, 8, 16),
         phases["vliw_retarget"]["skipped_designs"] = \
             len(vliw_result.skips())
 
-    # schedule-only A/B of the numpy scheduler core vs the pure-Python
-    # reference, over warm front-end analyses on both backends
-    hot_specs = [target_spec] + ([vliw_spec] if vliw_spec
-                                 and vliw_spec != target_spec else [])
-    phases["sched_hotpath"] = _sched_hotpath_phase(kernels, factors,
-                                                   hot_specs, scheduler)
-
     # chaos A/B: prove the supervised engine converges to identical
     # results under injected crashes and torn writes, and price it
     phases["resilience"] = _resilience_phase(kernels, target_spec,
                                              scheduler, jobs)
 
-    from repro.env import dfg_jam_enabled
-    from repro.hw import sched_kernel
     record = {
         "bench": "table_6_2_6_3_sweep",
         "schema": SCHEMA,
@@ -361,8 +283,6 @@ def run_sweep_bench(factors: Sequence[int] = (2, 4, 8, 16),
         "target": target_spec,
         "vliw_target": vliw_spec,
         "scheduler": scheduler,
-        "sched_kernel": sched_kernel.kernel_mode(),
-        "dfg_jam": dfg_jam_enabled(),
         "queries": len(queries),
         "jobs": jobs,
         "cores": os.cpu_count(),
@@ -429,8 +349,7 @@ def format_bench(record: dict) -> str:
     """Human summary of one benchmark record."""
     lines = [f"sweep bench: {record['queries']} designs, "
              f"factors={record['factors']}, jobs={record['jobs']} "
-             f"(cores={record['cores']}, "
-             f"sched_kernel={record.get('sched_kernel', '?')})"]
+             f"(cores={record['cores']})"]
     for name, phase in record["phases"].items():
         if "fault_free_s" in phase:       # the resilience chaos A/B phase
             lines.append(f"  {name:<15} fault-free "
@@ -448,13 +367,6 @@ def format_bench(record: dict) -> str:
                     f"respawns={sup.get('respawns', 0)} "
                     f"torn={sub.get('torn_writes', 0)} — identical "
                     "results")
-            continue
-        if "result_cache" not in phase:   # the sched_hotpath A/B phase
-            lines.append(f"  {name:<15} numpy {phase.get('numpy_s', 0):.3f}s"
-                         f" vs python {phase.get('python_s', 0):.3f}s over "
-                         f"{phase.get('designs', 0)} designs"
-                         + (f"  ({phase['speedup']}x)"
-                            if phase.get("speedup") else ""))
             continue
         rc = phase["result_cache"]
         stages = ", ".join(f"{k}={v:.2f}s"

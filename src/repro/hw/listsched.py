@@ -13,7 +13,6 @@ issue-width and functional-unit rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.dfg import DFG, DFGNode
 from repro.hw.ops import OperatorLibrary
@@ -41,36 +40,7 @@ def list_schedule(dfg: DFG, lib: OperatorLibrary) -> ListSchedule:
     """ASAP schedule of the distance-0 subgraph under resource limits."""
     from repro.hw import sched_kernel
 
-    hit = sched_kernel.list_schedule_arrays(dfg, lib)
-    if hit is not None:
-        time, usage, length = hit
-        return ListSchedule(time=time, length=length,
-                            port_usage=usage.get("mem", {}),
-                            resource_usage=usage)
-
-    sched = ListSchedule()
-    preds: dict[int, list[DFGNode]] = {n.nid: [] for n in dfg.nodes}
-    for e in dfg.edges:
-        if e.dist == 0:
-            preds[e.dst.nid].append(e.src)
-
-    slots = lib.resource_slots()
-    usage: dict[str, dict[int, int]] = {r: {} for r in slots}
-    for node in dfg.topo_order():
-        t = 0
-        for src in preds[node.nid]:
-            t = max(t, sched.time[src.nid] + lib.delay(src))
-        res = lib.node_resources(node)
-        if res:
-            while any(usage[r].get(t, 0) >= slots[r] for r in res):
-                t += 1
-            for r in res:
-                usage[r][t] = usage[r].get(t, 0) + 1
-        sched.time[node.nid] = t
-    sched.resource_usage = usage
-    sched.port_usage = usage.get("mem", {})
-    sched.length = max((sched.time[n.nid] + lib.delay(n) for n in dfg.nodes),
-                       default=0)
-    # a loop iteration takes at least one cycle even if empty
-    sched.length = max(sched.length, 1)
-    return sched
+    time, usage, length = sched_kernel.list_schedule_arrays(dfg, lib)
+    return ListSchedule(time=time, length=length,
+                        port_usage=usage.get("mem", {}),
+                        resource_usage=usage)

@@ -118,28 +118,16 @@ def _scc_map(edges: EdgeView) -> dict[int, int]:
     return comp
 
 
-def _cycle_edges(edges: EdgeView) -> EdgeView:
-    """Edges that can lie on a cycle: both ends in one strongly connected
-    component.
-
-    RecMII is a maximum over *cycles*, so acyclic regions of the graph —
-    the overwhelming majority of a jammed DFG — cannot affect it.
-    Restricting the Bellman-Ford search to SCC-internal edges preserves
-    the result exactly while shrinking the hot search from O(V*E) over
-    the whole graph to the (tiny) recurrence subgraphs.
-    """
-    comp = _scc_map(edges)
-    return [(s, d, dd) for s, d, dd in edges
-            if comp[s.nid] == comp[d.nid]]
-
-
 def _scc_arcs(edges: EdgeView, delay: Callable[[DFGNode], int]
               ) -> list[tuple[list[int], list[tuple[int, int, int, int]]]]:
     """Cycle-capable edges, grouped by SCC, as precomputed probe arcs.
 
-    Each group is ``(node ids, [(u, v, delay(u), dist), ...])`` — the
-    structure every lambda probe of that component shares, built once
-    per :func:`rec_mii` call.
+    RecMII is a maximum over *cycles*, so edges between components —
+    the overwhelming majority of a jammed DFG — cannot affect it, and
+    each probe runs over one (tiny) recurrence subgraph instead of the
+    whole graph.  Each group is ``(node ids, [(u, v, delay(u), dist),
+    ...])``, the structure every lambda probe of that component shares,
+    built once per :func:`rec_mii` call.
     """
     comp = _scc_map(edges)
     nids: dict[int, dict[int, None]] = {}
@@ -153,44 +141,6 @@ def _scc_arcs(edges: EdgeView, delay: Callable[[DFGNode], int]
         group[s.nid] = None
         group[d.nid] = None
     return [(list(nids[c]), arcs[c]) for c in arcs]
-
-
-def _probe_exceeding(nids: list[int],
-                     arcs: list[tuple[int, int, int, int]],
-                     lam: int) -> bool:
-    """Is there a cycle with sum(delay) > lam * sum(distance)?
-
-    Bellman-Ford negative-cycle detection on weights
-    ``-(delay(src) - lam*dist)``; the ``(u, v, delay, dist)`` arc list is
-    precomputed once per component and only the weights are rescaled per
-    probe.  Delays, lambda, and distances are all integers, so
-    relaxation compares exactly — a float epsilon here could mask a
-    genuine unit-weight cycle or, worse, let rounding turn the tie case
-    ``delay == lam * distance`` (weight exactly 0, *not* an exceeding
-    cycle) into a spurious one.
-    """
-    dist_map: dict[int, int] = {nid: 0 for nid in nids}
-    for _ in range(len(nids)):
-        changed = False
-        for u, v, dly, dd in arcs:
-            t = dist_map[u] - dly + lam * dd
-            if t < dist_map[v]:
-                dist_map[v] = t
-                changed = True
-        if not changed:
-            return False
-    return True  # still relaxing after n passes: negative cycle exists
-
-
-def _has_cycle_exceeding(edges: EdgeView, delay: Callable[[DFGNode], int],
-                         lam: int) -> bool:
-    """One-shot probe over a raw edge view (kept for tests/callers)."""
-    nids: dict[int, None] = {}
-    for s, d, _ in edges:
-        nids[s.nid] = None
-        nids[d.nid] = None
-    arcs = [(s.nid, d.nid, delay(s), dd) for s, d, dd in edges]
-    return _probe_exceeding(list(nids), arcs, lam)
 
 
 def rec_mii(dfg: DFG, delay: Callable[[DFGNode], int],
@@ -208,12 +158,8 @@ def rec_mii(dfg: DFG, delay: Callable[[DFGNode], int],
     edges = edges if edges is not None else default_edge_view(dfg)
     best = 1
     for nids, arcs in _scc_arcs(list(edges), delay):
-        # the vectorized Bellman-Ford sweeps give the identical boolean
-        # verdict per probe (see sched_kernel.make_probe); None when the
-        # kernel is disabled
+        # probe(lam): is there a cycle with delay > lam * distance?
         probe = sched_kernel.make_probe(nids, arcs)
-        if probe is None:
-            probe = lambda lam: _probe_exceeding(nids, arcs, lam)  # noqa: E731
         # any cycle's delay is bounded by the component's total node
         # delay (and cycle distances are >= 1): the search stops there
         hi = sum({u: dly for u, _, dly, _ in arcs}.values()) + 1

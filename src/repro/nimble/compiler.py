@@ -155,17 +155,17 @@ def compile_query(query: "DesignQuery") -> "DesignPoint | SkipRecord":
 
 #: The historical ``cache_counters`` key families, all of which now
 #: publish through metrics-registry collectors under the same names.
-_LEGACY_COUNTER_PREFIXES = ("analysis_", "iimemo_", "sched_kernel_")
+_LEGACY_COUNTER_PREFIXES = ("analysis_", "iimemo_")
 
 
 def _cache_counters() -> dict[str, int]:
     """Snapshot of the shared-cache counters this process has seen.
 
-    A thin view over the metrics registry: the analysis/II-memo LRUs,
-    the disk stores, and the scheduler-core provenance counters all
-    report through registry collectors under their historical key
-    spellings, so filtering the registry by prefix reproduces the
-    ``ExploreResult.cache_counters`` / bench-record schema exactly.
+    A thin view over the metrics registry: the analysis/II-memo LRUs
+    and the disk stores report through registry collectors under their
+    historical key spellings, so filtering the registry by prefix
+    reproduces the ``ExploreResult.cache_counters`` / bench-record
+    schema exactly.
     """
     from repro.obs import metrics as obs_metrics
     return {key: val

@@ -14,9 +14,9 @@ now reports through the same interface:
   reservoir, so percentiles survive the worker → supervisor merge
   (``stage.schedule`` wall seconds per pipeline flow);
 * **collectors** — callables polled at snapshot time for counters whose
-  source of truth lives elsewhere (the analysis LRU's hits/misses, the
-  scheduler-core attempt counters), so those layers keep their own
-  state and still show up in every snapshot.
+  source of truth lives elsewhere (the analysis LRU's hits/misses), so
+  those layers keep their own state and still show up in every
+  snapshot.
 
 Workers snapshot the registry around each batch and ship the *delta*
 back with their results (:func:`repro.nimble.compiler

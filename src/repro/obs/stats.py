@@ -118,10 +118,8 @@ def format_stats(snapshot: dict) -> str:
     sched_keys = [
         ("II candidates tried", "sched.ii_attempts"),
         ("II memo/refutation skips", "sched.ii_memo_skips"),
-        ("repair rounds", "sched.repair_rounds"),
+        ("placement attempts", "sched.placement_attempts"),
         ("exact search nodes", "sched.exact_nodes"),
-        ("numpy core attempts", "sched_kernel_numpy_attempts"),
-        ("python core attempts", "sched_kernel_python_attempts"),
     ]
     sched_rows = [[label, str(counters[key])]
                   for label, key in sched_keys if counters.get(key)]

@@ -165,20 +165,18 @@ def _jam_transform(built: BuiltKernel, ds: int, jam: int,
                    variant: str) -> TransformedNest:
     """Unroll-and-jam by DS; re-locate the fused inner loop.
 
-    By default (``REPRO_DFG_JAM=1``) the transform is deferred: the
-    analysis stage derives the fused inner loop's DFG directly from the
-    untransformed nest (:mod:`repro.core.jamdfg`), skipping the two
-    whole-program clones and re-lowering.  The deferral is skipped when
-    another nest shares the outer induction variable — there the
-    program-level route's nest re-location could pick a different loop,
-    so the historical path is replayed verbatim.
+    The transform is normally deferred: the analysis stage derives the
+    fused inner loop's DFG directly from the untransformed nest
+    (:mod:`repro.core.jamdfg`), skipping the two whole-program clones
+    and re-lowering.  The deferral is skipped when another nest shares
+    the outer induction variable — there the program-level route's nest
+    re-location could pick a different loop, so that route runs
+    verbatim: jam the whole program, re-locate the nest, analyze it.
     """
     outer_trip, inner_trip = _trips(built.nest)
-    from repro.env import dfg_jam_enabled
-    if dfg_jam_enabled() and not any(
-            n.outer is not built.nest.outer
-            and n.outer.var == built.nest.outer.var
-            for n in find_loop_nests(built.program)):
+    if not any(n.outer is not built.nest.outer
+               and n.outer.var == built.nest.outer.var
+               for n in find_loop_nests(built.program)):
         return TransformedNest(variant=variant, program=built.program,
                                nest=built.nest, ds=ds, jam=jam,
                                outer_trip=outer_trip, inner_trip=inner_trip,

@@ -144,28 +144,6 @@ class TestLegality:
         chk = check_squash(prog, nest, 2)
         assert any("single basic block" in r for r in chk.reasons)
 
-    def test_if_convert_then_squash(self):
-        """§4.2: if-conversion makes conditional bodies squashable."""
-        from repro.transforms import if_convert
-        b = ProgramBuilder("p")
-        out = b.array("out", (8,), U32, output=True)
-        x = b.local("x", U32)
-        with b.loop("i", 0, 8) as i:
-            b.assign(x, i + 1)
-            with b.loop("j", 0, 6) as j:
-                with b.if_((b.var("x") & 1).eq(1)):
-                    b.assign(x, b.var("x") * 3 + 1)
-                with b.else_():
-                    b.assign(x, b.var("x") >> 1)
-            out[i] = b.var("x")
-        prog = b.build()
-        conv = if_convert(prog)
-        nest = find_loop_nests(conv)[0]
-        res = unroll_and_squash(conv, nest, 3)
-        ref = run_program(prog).arrays["out"]
-        got = run_program(res.program).arrays["out"]
-        assert list(ref) == list(got)
-
     def test_variable_inner_trip_rejected(self):
         b = ProgramBuilder("p")
         n = b.param("n", I32)

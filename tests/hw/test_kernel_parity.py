@@ -1,11 +1,12 @@
-"""Bit-identity of the numpy scheduler core vs the pure-Python reference.
+"""Bit-identity of the numpy scheduler core vs the pure-Python oracle.
 
-``repro.hw.sched_kernel`` re-expresses the placement/probe/repair loops
-over dense arrays; these tests pin the contract that the two cores are
-*bit-identical* — same II, same per-node start cycles, same reservation
-tables, same makespans — across seed-pinned random DFGs (``ir.randgen``
-and ``lang.fuzz`` programs), both targets, all scheduler strategies, and
-every crossing of the II-search memo (on/off) with the kernel (on/off).
+``repro.hw.sched_kernel`` runs the placement/probe/repair loops over
+dense arrays; these tests pin the contract that it is *bit-identical*
+to the loop-by-loop oracle in ``tests/hw/reference_sched.py`` — same
+II, same per-node start cycles, same reservation tables, same
+makespans — across seed-pinned random DFGs (``ir.randgen`` and
+``lang.fuzz`` programs), both targets, all heuristic scheduler
+strategies, whole pipeline runs, and a cold and a warm II-search memo.
 """
 
 import random
@@ -14,12 +15,15 @@ import pytest
 
 import repro
 from repro.analysis import find_loop_nests
+from repro.hw import schedulers
 from repro.hw.schedulers import scheduler_by_name
 from repro.ir.randgen import SquashNestSpec, ValueDomain, \
     random_squashable_nest
 from repro.nimble.target import decode_target
+from repro.obs import metrics as obs_metrics
 from repro.pipeline import CompilationPipeline
 from repro.pipeline.analysis import base_analyzed_dfg, squash_analyzed_dfg
+from tests.hw import reference_sched
 
 
 @pytest.fixture(autouse=True)
@@ -46,24 +50,27 @@ def _random_nest(seed):
     return prog, nest
 
 
-def _schedule_under(monkeypatch, kernel_mode, analyzed, lib, sname):
-    from repro.hw import sched_kernel
+def _placements():
+    return obs_metrics.registry().counter_values().get(
+        "sched.placement_attempts", 0)
 
-    monkeypatch.setenv("REPRO_SCHED_KERNEL", kernel_mode)
+
+def _both(analyzed, lib, sname):
+    """(production record, oracle record, production placed anything)."""
     repro.clear_caches()
-    before = dict(sched_kernel.kernel_counters())
+    before = _placements()
     sched = scheduler_by_name(sname).schedule(analyzed.dfg, lib,
                                               edges=analyzed.edges)
-    after = sched_kernel.kernel_counters()
-    used_numpy = after["sched_kernel_numpy_attempts"] \
-        > before["sched_kernel_numpy_attempts"]
-    return _sched_record(sched), used_numpy
+    placed = _placements() > before
+    ref = reference_sched.schedule(sname, analyzed.dfg, lib,
+                                   edges=analyzed.edges)
+    return _sched_record(sched), _sched_record(ref), placed
 
 
 class TestKernelParity:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("tspec", ["acev", "vliw4"])
-    def test_randgen_schedules_identical(self, monkeypatch, seed, tspec):
+    def test_randgen_schedules_identical(self, seed, tspec):
         prog, nest = _random_nest(seed)
         lib = decode_target(tspec).library
         for variant_ds in (1, 2, 4):
@@ -73,17 +80,13 @@ class TestKernelParity:
                 analyzed = squash_analyzed_dfg(prog, nest, variant_ds,
                                                delay_fn=lib.delay)
             for sname in ("list", "modulo", "backtrack"):
-                py, py_np = _schedule_under(monkeypatch, "0", analyzed,
-                                            lib, sname)
-                nk, nk_np = _schedule_under(monkeypatch, "1", analyzed,
-                                            lib, sname)
-                assert py == nk, f"seed {seed} ds {variant_ds} {sname}"
-                assert not py_np    # the knob really pinned the reference
+                prod, ref, placed = _both(analyzed, lib, sname)
+                assert prod == ref, f"seed {seed} ds {variant_ds} {sname}"
                 if sname != "list":
-                    assert nk_np    # and the numpy core really ran
+                    assert placed   # the array core really ran
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_fuzz_source_schedules_identical(self, monkeypatch, seed):
+    def test_fuzz_source_schedules_identical(self, seed):
         from repro.analysis.loops import find_kernel_nests
         from repro.lang import compile_source
         from repro.lang.fuzz import SourceNestSpec, random_source_nest
@@ -96,66 +99,52 @@ class TestKernelParity:
             lib = decode_target(tspec).library
             analyzed = base_analyzed_dfg(prog, nest)
             for sname in ("modulo", "backtrack"):
-                py, _ = _schedule_under(monkeypatch, "0", analyzed,
-                                        lib, sname)
-                nk, _ = _schedule_under(monkeypatch, "1", analyzed,
-                                        lib, sname)
-                assert py == nk, f"seed {seed} {tspec} {sname}"
+                prod, ref, _ = _both(analyzed, lib, sname)
+                assert prod == ref, f"seed {seed} {tspec} {sname}"
 
     def test_design_points_identical(self, monkeypatch):
+        """Whole pipeline runs, register-pressure II bumps included,
+        with the registry's strategies swapped for the oracle's."""
         from tests.conftest import build_fig41
 
         prog = build_fig41(m=16, n=8)
         nest = find_loop_nests(prog)[0]
-        points = {}
-        for mode in ("0", "1"):
-            monkeypatch.setenv("REPRO_SCHED_KERNEL", mode)
+        designs = (("original", 1), ("pipelined", 1), ("squash", 2),
+                   ("jam", 2))
+
+        def points():
             repro.clear_caches()
             pipe = CompilationPipeline(target=decode_target("vliw4"))
-            points[mode] = [
-                pipe.run(prog, nest, variant, ds=ds).point
-                for variant, ds in (("original", 1), ("pipelined", 1),
-                                    ("squash", 2), ("jam", 2))]
-        assert points["0"] == points["1"]
+            return [pipe.run(prog, nest, variant, ds=ds).point
+                    for variant, ds in designs]
+
+        production = points()
+        for name in ("list", "modulo", "backtrack"):
+            monkeypatch.setitem(schedulers._REGISTRY, name,
+                                reference_sched.OracleScheduler(name))
+        before = _placements()
+        assert points() == production
+        assert _placements() == before   # the oracle did all the placing
 
     def test_memo_by_kernel_crossing_identical(self, monkeypatch):
-        """2x2 sweep: II-memo (off/warm) x kernel (python/numpy).
+        """II-memo off and mem, each searched cold then memo-warm: every
+        one of the four production schedules equals the oracle's.
 
-        The memo signature deliberately excludes the kernel mode — a
-        warm memo written by one core must replay bit-identically under
-        the other — so all four crossings (plus the warm second run of
-        each memo-on leg) must agree exactly.
+        A warm memo skips refuted candidate IIs and places only the
+        winner, so a replay that diverged from a from-scratch search
+        shows up here.
         """
         prog, nest = _random_nest(99)
         lib = decode_target("vliw4").library
         analyzed = base_analyzed_dfg(prog, nest)
+        expected = _sched_record(reference_sched.schedule(
+            "backtrack", analyzed.dfg, lib, edges=analyzed.edges))
         records = []
         for cache_mode in ("0", "mem"):
-            for kernel_mode in ("0", "1"):
-                monkeypatch.setenv("REPRO_ANALYSIS_CACHE", cache_mode)
-                monkeypatch.setenv("REPRO_SCHED_KERNEL", kernel_mode)
-                repro.clear_caches()
-                first = scheduler_by_name("backtrack").schedule(
-                    analyzed.dfg, lib, edges=analyzed.edges)
-                # second search: memo-warm when cache_mode enables it
-                second = scheduler_by_name("backtrack").schedule(
-                    analyzed.dfg, lib, edges=analyzed.edges)
-                records.append(_sched_record(first))
-                records.append(_sched_record(second))
-        assert all(r == records[0] for r in records[1:])
-
-    def test_counters_are_monotonic_ints(self):
-        from repro.hw import sched_kernel
-
-        c = sched_kernel.kernel_counters()
-        assert set(c) == {"sched_kernel_numpy_attempts",
-                          "sched_kernel_python_attempts"}
-        assert all(isinstance(v, int) and v >= 0 for v in c.values())
-
-    def test_kernel_mode_reports_knob(self, monkeypatch):
-        from repro.hw import sched_kernel
-
-        monkeypatch.setenv("REPRO_SCHED_KERNEL", "0")
-        assert sched_kernel.kernel_mode() == "python"
-        monkeypatch.setenv("REPRO_SCHED_KERNEL", "1")
-        assert sched_kernel.kernel_mode() in ("numpy", "python")
+            monkeypatch.setenv("REPRO_ANALYSIS_CACHE", cache_mode)
+            repro.clear_caches()
+            for _ in range(2):   # the second search is memo-warm on mem
+                records.append(_sched_record(
+                    scheduler_by_name("backtrack").schedule(
+                        analyzed.dfg, lib, edges=analyzed.edges)))
+        assert records == [expected] * 4

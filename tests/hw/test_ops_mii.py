@@ -124,10 +124,11 @@ class TestResMII:
 
 
 class TestRecMIIIntegerArithmetic:
-    """Regression for the float-epsilon relaxation in
-    ``_has_cycle_exceeding``: every weight is an integer, and the tie
-    case ``delay == lam * distance`` (cycle weight exactly 0) must not
-    count as an exceeding cycle."""
+    """Regression for the float-epsilon relaxation in the RecMII probe:
+    every weight is an integer, and the tie case ``delay == lam *
+    distance`` (cycle weight exactly 0) must not count as an exceeding
+    cycle.  Each probe case runs against both the production probe
+    (``sched_kernel.make_probe``) and the test oracle's sequential one."""
 
     def _tie_cycle(self, delays, dists):
         from repro.core.dfg import DFG
@@ -139,13 +140,24 @@ class TestRecMIIIntegerArithmetic:
         delay_of = {n.nid: delays[i] for i, n in enumerate(nodes)}
         return g, (lambda n: delay_of[n.nid])
 
+    def _probes(self, g, delay):
+        """(production, oracle) probes over the graph's whole edge set."""
+        from repro.hw.mii import default_edge_view
+        from repro.hw.sched_kernel import make_probe
+        from tests.hw.reference_sched import probe_exceeding
+
+        nids = [n.nid for n in g.nodes]
+        arcs = [(s.nid, d.nid, delay(s), dd)
+                for s, d, dd in default_edge_view(g)]
+        return (make_probe(nids, arcs),
+                lambda lam: probe_exceeding(nids, arcs, lam))
+
     def test_exact_tie_is_not_an_exceeding_cycle(self):
-        from repro.hw.mii import _has_cycle_exceeding, default_edge_view
         # delays 2+2 over distances 1+1: delay == 2 * distance exactly
         g, delay = self._tie_cycle(delays=(2, 2), dists=(1, 1))
-        edges = default_edge_view(g)
-        assert _has_cycle_exceeding(edges, delay, 1)
-        assert not _has_cycle_exceeding(edges, delay, 2)
+        for probe in self._probes(g, delay):
+            assert probe(1)
+            assert not probe(2)
 
     def test_recmii_unchanged_on_tie(self):
         g, delay = self._tie_cycle(delays=(2, 2), dists=(1, 1))
@@ -159,11 +171,10 @@ class TestRecMIIIntegerArithmetic:
 
     def test_self_cycle_tie(self):
         from repro.core.dfg import DFG
-        from repro.hw.mii import _has_cycle_exceeding, default_edge_view
         g = DFG()
         n = g.add_node(kind="binop", ty=U32, op="mul", name="x")
         g.add_edge(n, n, 2)  # delay 4 over distance 2: tie at lam 2
-        edges = default_edge_view(g)
-        assert not _has_cycle_exceeding(edges, lambda _: 4, 2)
-        assert _has_cycle_exceeding(edges, lambda _: 4, 1)
+        for probe in self._probes(g, lambda _: 4):
+            assert not probe(2)
+            assert probe(1)
         assert rec_mii(g, lambda _: 4) == 2

@@ -103,9 +103,8 @@ class TestModuloScheduler:
 
 
 class TestMRTRowAdvance:
-    """Regression for the MRT probe loop in ``_attempt``: a fully
-    occupied row must advance the operation to the next free row (the
-    dead duplicate re-probe after the loop was removed)."""
+    """Regression for the MRT probe in ``SchedProblem.attempt``: a fully
+    occupied row must advance the operation to the next free row."""
 
     def _mem_heavy(self, loads: int):
         b = ProgramBuilder("memheavy")
@@ -121,34 +120,75 @@ class TestMRTRowAdvance:
         dfg, _ = _dfg(b.build())
         return dfg
 
-    def test_attempt_advances_past_full_row(self):
+    def _problem(self, dfg):
         from repro.hw.mii import default_edge_view
-        from repro.hw.modulo import _attempt
+        from repro.hw.modulo import _delay_map, _resource_map
+        from repro.hw.sched_kernel import build_problem
 
+        lib = ACEV_LIBRARY
+        prob = build_problem(dfg, default_edge_view(dfg),
+                             _delay_map(dfg, lib), _resource_map(dfg, lib),
+                             lib.resource_slots())
+        return prob, [n.nid for n in dfg.topo_order()]
+
+    def test_attempt_advances_past_full_row(self):
         dfg = self._mem_heavy(4)   # 4 loads + 1 store on a 2-port bus
-        edges = default_edge_view(dfg)
-        sched = _attempt(dfg, edges, ACEV_LIBRARY, 3, {})
-        assert sched is not None
+        prob, order = self._problem(dfg)
+        hit = prob.attempt(3, [0] * prob.n, order)
+        assert hit is not None
+        time, occ, _ = hit
+        mrt = prob.reservation_tables(occ, 3)["mem"]
         # every row within capacity; at least one op pushed off row 0
-        assert all(v <= ACEV_LIBRARY.mem_ports for v in sched.mrt.values())
-        assert sum(sched.mrt.values()) == 5
-        mem_rows = {sched.time[n.nid] % 3 for n in dfg.nodes
+        assert all(v <= ACEV_LIBRARY.mem_ports for v in mrt.values())
+        assert sum(mrt.values()) == 5
+        mem_rows = {time[n.nid] % 3 for n in dfg.nodes
                     if ACEV_LIBRARY.uses_mem_port(n)}
         assert len(mem_rows) > 1
 
     def test_attempt_gives_up_when_all_rows_full(self):
-        from repro.hw.mii import default_edge_view
-        from repro.hw.modulo import _attempt
+        from repro.hw.sched_kernel import search_rounds
 
         dfg = self._mem_heavy(4)   # 5 memory refs > 2 rows * 2 ports
-        edges = default_edge_view(dfg)
-        assert _attempt(dfg, edges, ACEV_LIBRARY, 2, {}) is None
+        prob, order = self._problem(dfg)
+        assert prob.attempt(2, [0] * prob.n, order) is None
+        assert search_rounds(prob, 2, order, 8) is None
 
     def test_full_search_lands_on_feasible_ii(self):
         dfg = self._mem_heavy(4)
         sched = modulo_schedule(dfg, ACEV_LIBRARY)
         assert sched.ii >= sched.res_mii == 3
         _assert_schedule_legal(dfg, ACEV_LIBRARY, sched)
+
+
+class TestSearchEffortCounter:
+    def test_repair_rounds_count_as_placement_attempts(self):
+        """One II candidate, two placement passes: ``a`` is placed first
+        (topological order), which the distance-1 edge from the slower
+        ``m`` violates at II=1, so one repair round re-places it later."""
+        from repro.core.dfg import DFG
+        from repro.obs import metrics as obs_metrics
+        from tests.hw import reference_sched
+
+        g = DFG()
+        m = g.add_node(kind="binop", ty=U32, op="mul", name="m")
+        a = g.add_node(kind="binop", ty=U32, op="add", name="a")
+        g.add_edge(m, a, 1)
+        assert g.topo_order() == [a, m]
+        assert ACEV_LIBRARY.delay(m) > ACEV_LIBRARY.delay(a)
+
+        def counts():
+            values = obs_metrics.registry().counter_values()
+            return (values.get("sched.placement_attempts", 0),
+                    values.get("sched.ii_attempts", 0))
+
+        placed0, tried0 = counts()
+        sched = modulo_schedule(g, ACEV_LIBRARY)
+        placed1, tried1 = counts()
+        assert (sched.ii, tried1 - tried0) == (1, 1)
+        assert placed1 - placed0 > tried1 - tried0
+        _, passes = reference_sched.place_with_repair(
+            g, default_edge_view(g), ACEV_LIBRARY, 1)
+        assert placed1 - placed0 == passes == 2
 
 
 class TestBacktrackingScheduler:

@@ -45,6 +45,15 @@ class TestFormatStats:
         assert "Supervision" in text
         assert "injected faults seen" in text
 
+    def test_placement_attempts_row(self):
+        snap = {"counters": {"sched.ii_attempts": 3,
+                             "sched.placement_attempts": 5},
+                "histograms": {}}
+        text = format_stats(snap)
+        assert re.search(r"placement attempts\s+5", text)
+        assert "repair rounds" not in text
+        assert "core attempts" not in text
+
     def test_empty_snapshot_says_so(self):
         text = format_stats({"counters": {}, "histograms": {}})
         assert "no recorded metrics" in text

@@ -1,24 +1,32 @@
 """Differential tests for the DFG-level jam derivation (repro.core.jamdfg).
 
-Every test compares the default fast path (``REPRO_DFG_JAM=1``: derive
-the fused inner loop's analysis directly from the untransformed nest)
-against the historical route (``=0``: unroll-and-jam the whole program,
-re-locate the nest, re-lower) and requires *identical* artifacts —
-DFG nodes/edges, SSA names, legality verdicts and reason strings,
-DesignPoints — or identical errors.
+Every test compares the pipeline's route (derive the fused inner loop's
+analysis directly from the untransformed nest) against the
+program-level route, run here by calling its pieces directly:
+``unroll_and_jam`` on the whole program, ``_find_jammed_nest`` to
+re-locate the fused nest, and ``base_analyzed_dfg`` to re-lower it.
+Both run through the same pipeline stages otherwise, and must give
+*identical* artifacts — DFG nodes/edges, SSA names, legality verdicts
+and reason strings, DesignPoints — or identical errors.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 import repro
 from repro.analysis import find_loop_nests
+from repro.analysis.loops import trip_count
 from repro.errors import LegalityError
 from repro.ir import ProgramBuilder, U32
 from repro.ir.randgen import SquashNestSpec, ValueDomain, \
     random_squashable_nest
-from repro.pipeline import CompilationPipeline
+from repro.pipeline import VARIANT_PLANS, CompilationPipeline, \
+    TransformedNest
+from repro.pipeline.analysis import base_analyzed_dfg
+from repro.pipeline.pipeline import _find_jammed_nest
+from repro.transforms.unroll_and_jam import unroll_and_jam
 
 
 @pytest.fixture(autouse=True)
@@ -83,15 +91,44 @@ def _artifacts(run):
     }
 
 
-def _run_both(monkeypatch, prog, nest, factor, **kw):
+def _program_level_transform(built, ds, jam, variant):
+    """Jam the whole program and re-locate the fused nest in it."""
+    outer_trip = trip_count(built.nest.outer) or 0
+    inner_trip = trip_count(built.nest.inner) or 0
+    jammed = unroll_and_jam(built.program, built.nest, ds)
+    nest = _find_jammed_nest(jammed, built.nest, ds, outer_trip)
+    if nest is None:
+        raise LegalityError("jammed nest not found")
+    return TransformedNest(variant=variant, program=jammed, nest=nest,
+                           ds=ds, jam=jam, outer_trip=outer_trip,
+                           inner_trip=inner_trip)
+
+
+def _program_level_analyze(t, target, cache):
+    return base_analyzed_dfg(t.program, t.nest, cache=cache)
+
+
+#: The ``jam`` plan with the program-level route in place of derivation.
+PROGRAM_LEVEL_JAM = dataclasses.replace(
+    VARIANT_PLANS["jam"], transform=_program_level_transform,
+    analyze=_program_level_analyze)
+
+
+def _each_route(monkeypatch, run):
+    """``run()`` under the program-level route, then the pipeline's."""
     out = []
-    for mode in ("0", "1"):
+    for plan in (PROGRAM_LEVEL_JAM, VARIANT_PLANS["jam"]):
         repro.clear_caches()
-        monkeypatch.setenv("REPRO_DFG_JAM", mode)
         monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "mem")
-        pipe = CompilationPipeline(**kw)
-        out.append(pipe.run(prog, nest, "jam", ds=factor))
+        with monkeypatch.context() as m:
+            m.setitem(VARIANT_PLANS, "jam", plan)
+            out.append(run())
     return out
+
+
+def _run_both(monkeypatch, prog, nest, factor, **kw):
+    return _each_route(monkeypatch, lambda: CompilationPipeline(**kw).run(
+        prog, nest, "jam", ds=factor))
 
 
 class TestDerivedJamParity:
@@ -130,15 +167,11 @@ class TestDerivedJamParity:
 
 class TestDerivedJamErrors:
     def _errors_both(self, monkeypatch, prog, nest, factor):
-        errs = []
-        for mode in ("0", "1"):
-            repro.clear_caches()
-            monkeypatch.setenv("REPRO_DFG_JAM", mode)
-            monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "mem")
+        def run():
             with pytest.raises(LegalityError) as exc:
                 CompilationPipeline().run(prog, nest, "jam", ds=factor)
-            errs.append((str(exc.value), list(exc.value.reasons)))
-        return errs
+            return str(exc.value), list(exc.value.reasons)
+        return _each_route(monkeypatch, run)
 
     def test_outer_carried_scalar_same_rejection(self, monkeypatch):
         prog, nest = build_outer_carried()
@@ -172,10 +205,9 @@ class TestDerivedJamMechanics:
         synth, _shim = fused_nest(prog, nest, 2)
         assert stmt_to_str(synth.outer) == stmt_to_str(real.outer)
 
-    def test_original_program_not_mutated(self, monkeypatch):
+    def test_original_program_not_mutated(self):
         from repro.ir.printer import program_to_str
 
-        monkeypatch.setenv("REPRO_DFG_JAM", "1")
         prog, nest = build_nest()
         before = program_to_str(prog)
         locals_before = dict(prog.locals)
@@ -183,10 +215,9 @@ class TestDerivedJamMechanics:
         assert program_to_str(prog) == before
         assert prog.locals == locals_before
 
-    def test_duplicate_outer_var_falls_back(self, monkeypatch):
+    def test_duplicate_outer_var_falls_back(self):
         # two nests sharing the outer IV: the fast path must defer to
         # the program-level route (nest re-location could mismatch)
-        monkeypatch.setenv("REPRO_DFG_JAM", "1")
         b = ProgramBuilder("dup")
         inp = b.array("in", (8,), U32)
         out = b.array("out", (8,), U32, output=True)
@@ -208,7 +239,6 @@ class TestDerivedJamMechanics:
         assert run.transformed.program is not prog
 
     def test_disk_tier_round_trips(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_DFG_JAM", "1")
         monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         prog, nest = build_nest()

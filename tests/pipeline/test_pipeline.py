@@ -32,6 +32,26 @@ def _fresh_caches():
     repro.clear_caches()
 
 
+def build_shared_outer_iv():
+    """Two jam-legal nests over the same outer IV ``i``."""
+    b = ProgramBuilder("sharediv")
+    inp = b.array("in", (8,), U32)
+    out = b.array("out", (8,), U32, output=True)
+    x = b.local("x", U32)
+    with b.loop("i", 0, 8) as i:
+        b.assign(x, inp[i])
+        with b.loop("j", 0, 4) as j:
+            b.assign(x, b.var("x") + j)
+        out[i] = b.var("x")
+    with b.loop("i", 0, 8) as i:
+        b.assign(x, inp[i])
+        with b.loop("j", 0, 4) as j:
+            b.assign(x, b.var("x") * 2 + j)
+        out[i] = b.var("x") + out[i]
+    prog = b.build()
+    return prog, find_loop_nests(prog)[0]
+
+
 def build_illegal_nest():
     """Inner trip count depends on the outer IV: squash-illegal."""
     b = ProgramBuilder("badkernel")
@@ -91,14 +111,15 @@ class TestStageArtifacts:
         assert run.transformed.outer_trip == 32   # pre-transform trips
         assert run.transformed.inner_trip == 16
 
-    def test_jam_transform_rewrites_program(self, fig41_nest, monkeypatch):
-        monkeypatch.setenv("REPRO_DFG_JAM", "0")
-        prog, nest = fig41_nest
+    def test_jam_transform_rewrites_program(self):
+        # a second nest shares the outer IV, so re-locating the fused
+        # nest needs the whole jammed program: the transform stage jams
+        prog, nest = build_shared_outer_iv()
         run = CompilationPipeline().run(prog, nest, "jam", ds=2)
         assert not run.transformed.derived_jam
         assert run.transformed.program is not prog
-        assert run.transformed.outer_trip == 32   # pre-transform trips
-        assert run.transformed.inner_trip == 16
+        assert run.transformed.outer_trip == 8    # pre-transform trips
+        assert run.transformed.inner_trip == 4
 
     def test_every_variant_has_a_plan(self):
         from repro.explore.space import VARIANTS

@@ -1,5 +1,4 @@
-"""Unit + property tests for loop restructuring: unroll, peel, tile, fuse,
-if-convert, and unroll-and-jam."""
+"""Unit + property tests for unroll-and-jam."""
 
 import random
 
@@ -7,18 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import find_loop_nests, trip_count
+from repro.analysis import find_loop_nests
 from repro.errors import LegalityError
-from repro.ir import (
-    Assign, Block, Const, For, I32, If, ProgramBuilder, Select, Store, U8,
-    U32, Var, run_program, walk_stmts,
-)
-from repro.ir.randgen import SquashNestSpec, random_squashable_nest
-from repro.transforms import (
-    fully_unroll, fuse_loops, if_convert, peel_back, peel_front, tile_loop,
-    unroll_and_jam, unroll_loop,
-)
-from tests.conftest import inner_loop, outer_loop
+from repro.ir import For, ProgramBuilder, U32, run_program, walk_stmts
+from repro.ir.randgen import random_squashable_nest
+from repro.transforms import unroll_and_jam
 
 
 def _same_arrays(p1, p2, params=None):
@@ -28,263 +20,6 @@ def _same_arrays(p1, p2, params=None):
     for name in a.arrays:
         np.testing.assert_array_equal(a.arrays[name], b.arrays[name],
                                       err_msg=f"array {name}")
-
-
-def _sum_prog(m=10):
-    b = ProgramBuilder("sum")
-    a = b.array("a", (m,), I32, output=True)
-    with b.loop("i", 0, m) as i:
-        a[i] = i * 2 + 1
-    return b.build()
-
-
-class TestUnroll:
-    @pytest.mark.parametrize("factor", [2, 3, 4, 5, 10])
-    def test_unroll_preserves(self, factor):
-        prog = _sum_prog(10)
-        loop = outer_loop(prog)
-        out = unroll_loop(prog, loop, factor)
-        _same_arrays(prog, out)
-
-    def test_unroll_divisible_no_tail(self):
-        prog = _sum_prog(12)
-        out = unroll_loop(prog, outer_loop(prog), 4)
-        fors = [s for s in walk_stmts(out.body) if isinstance(s, For)]
-        assert len(fors) == 1 and fors[0].step == 4
-        assert len(fors[0].body.stmts) == 4
-
-    def test_unroll_remainder_tail(self):
-        prog = _sum_prog(10)
-        out = unroll_loop(prog, outer_loop(prog), 4)
-        fors = [s for s in walk_stmts(out.body) if isinstance(s, For)]
-        assert len(fors) == 2
-        assert trip_count(fors[0]) == 2 and trip_count(fors[1]) == 2
-
-    def test_fully_unroll(self):
-        prog = _sum_prog(5)
-        out = fully_unroll(prog, outer_loop(prog))
-        assert not any(isinstance(s, For) for s in walk_stmts(out.body))
-        _same_arrays(prog, out)
-
-    def test_unroll_recurrence(self, fig21):
-        inner = inner_loop(fig21)
-        out = unroll_loop(fig21, inner, 2)
-        _same_arrays(fig21, out)
-
-    def test_factor_one_noop(self):
-        prog = _sum_prog(6)
-        out = unroll_loop(prog, outer_loop(prog), 1)
-        _same_arrays(prog, out)
-
-    def test_symbolic_bound_rejected(self):
-        b = ProgramBuilder("p")
-        n = b.param("n", I32)
-        a = b.array("a", (16,), I32, output=True)
-        with b.loop("i", 0, n) as i:
-            a[i] = i
-        prog = b.build()
-        with pytest.raises(LegalityError):
-            unroll_loop(prog, outer_loop(prog), 2)
-
-
-class TestPeel:
-    @pytest.mark.parametrize("k", [0, 1, 3, 10])
-    def test_peel_front(self, k):
-        prog = _sum_prog(10)
-        out = peel_front(prog, outer_loop(prog), k)
-        _same_arrays(prog, out)
-
-    @pytest.mark.parametrize("k", [0, 1, 3, 10])
-    def test_peel_back(self, k):
-        prog = _sum_prog(10)
-        out = peel_back(prog, outer_loop(prog), k)
-        _same_arrays(prog, out)
-
-    def test_peel_back_loop_bounds(self):
-        prog = _sum_prog(10)
-        out = peel_back(prog, outer_loop(prog), 3)
-        loop = next(s for s in out.body.stmts if isinstance(s, For))
-        assert trip_count(loop) == 7
-
-    def test_peel_too_many_rejected(self):
-        prog = _sum_prog(4)
-        with pytest.raises(LegalityError):
-            peel_front(prog, outer_loop(prog), 5)
-
-    def test_peel_recurrence_back(self, fig21):
-        out = peel_back(fig21, outer_loop(fig21), 3)
-        _same_arrays(fig21, out)
-
-
-class TestTile:
-    @pytest.mark.parametrize("size", [1, 2, 4, 5, 16])
-    def test_tile_preserves(self, size):
-        prog = _sum_prog(16)
-        out = tile_loop(prog, outer_loop(prog), size)
-        _same_arrays(prog, out)
-
-    def test_tile_exact_no_min(self):
-        prog = _sum_prog(16)
-        out = tile_loop(prog, outer_loop(prog), 4)
-        tile = next(s for s in out.body.stmts if isinstance(s, For))
-        intra = tile.body.stmts[0]
-        assert isinstance(intra, For)
-        assert trip_count(intra) is None or True  # bounds depend on ii
-        # inner hi must not contain a min() for exact tiling
-        from repro.ir import expr_to_str
-        assert "min" not in expr_to_str(intra.hi)
-
-    def test_tile_inexact_uses_min(self):
-        prog = _sum_prog(10)
-        out = tile_loop(prog, outer_loop(prog), 4)
-        from repro.ir import expr_to_str
-        tile = next(s for s in out.body.stmts if isinstance(s, For))
-        assert "min" in expr_to_str(tile.body.stmts[0].hi)
-        _same_arrays(prog, out)
-
-
-class TestFuse:
-    def _two_loops(self, dep=False):
-        b = ProgramBuilder("p")
-        a = b.array("a", (8,), I32, output=True)
-        c = b.array("c", (8,), I32, output=True)
-        with b.loop("i", 0, 8) as i:
-            a[i] = i + 1
-        with b.loop("j", 0, 8) as j:
-            if dep:
-                c[j] = a[(j + 1) & 7]   # reads what loop 1 wrote
-            else:
-                c[j] = j * 2
-        return b.build()
-
-    def test_fuse_independent(self):
-        prog = self._two_loops()
-        l1, l2 = [s for s in prog.body.stmts if isinstance(s, For)]
-        out = fuse_loops(prog, l1, l2)
-        fors = [s for s in walk_stmts(out.body) if isinstance(s, For)]
-        assert len(fors) == 1
-        _same_arrays(prog, out)
-
-    def test_fuse_renames_iv(self):
-        prog = self._two_loops()
-        l1, l2 = [s for s in prog.body.stmts if isinstance(s, For)]
-        out = fuse_loops(prog, l1, l2)
-        fused = next(s for s in walk_stmts(out.body) if isinstance(s, For))
-        assert fused.var == "i"
-
-    def test_fuse_dependent_rejected(self):
-        prog = self._two_loops(dep=True)
-        l1, l2 = [s for s in prog.body.stmts if isinstance(s, For)]
-        with pytest.raises(LegalityError):
-            fuse_loops(prog, l1, l2)
-
-    def test_fuse_non_adjacent_rejected(self):
-        b = ProgramBuilder("p")
-        a = b.array("a", (8,), I32, output=True)
-        with b.loop("i", 0, 8) as i:
-            a[i] = 1
-        x = b.local("x", I32)
-        b.assign(x, 0)
-        with b.loop("j", 0, 8) as j:
-            a[j] = a[j] + 1
-        prog = b.build()
-        l1, l2 = [s for s in prog.body.stmts if isinstance(s, For)]
-        with pytest.raises(LegalityError):
-            fuse_loops(prog, l1, l2)
-
-
-class TestIfConvert:
-    def test_simple_diamond(self):
-        b = ProgramBuilder("p")
-        a = b.array("a", (8,), I32, output=True)
-        x = b.local("x", I32)
-        with b.loop("i", 0, 8) as i:
-            b.assign(x, 0)
-            with b.if_(i < 4):
-                b.assign(x, i * 2)
-            with b.else_():
-                b.assign(x, i + 100)
-            a[i] = b.var("x")
-        prog = b.build()
-        out = if_convert(prog)
-        assert not any(isinstance(s, If) for s in walk_stmts(out.body))
-        _same_arrays(prog, out)
-
-    def test_one_sided(self):
-        b = ProgramBuilder("p")
-        a = b.array("a", (8,), I32, output=True)
-        x = b.local("x", I32)
-        with b.loop("i", 0, 8) as i:
-            b.assign(x, 7)
-            with b.if_(i < 3):
-                b.assign(x, 1)
-            a[i] = b.var("x")
-        prog = b.build()
-        out = if_convert(prog)
-        assert not any(isinstance(s, If) for s in walk_stmts(out.body))
-        _same_arrays(prog, out)
-
-    def test_chained_assigns_composed(self):
-        b = ProgramBuilder("p")
-        a = b.array("a", (4,), I32, output=True)
-        x = b.local("x", I32)
-        y = b.local("y", I32)
-        with b.loop("i", 0, 4) as i:
-            b.assign(x, i)
-            b.assign(y, 0)
-            with b.if_(i < 2):
-                b.assign(x, i + 1)
-                b.assign(y, b.var("x") * 2)   # sees the branch-local x
-            a[i] = b.var("x") + b.var("y")
-        prog = b.build()
-        out = if_convert(prog)
-        assert not any(isinstance(s, If) for s in walk_stmts(out.body))
-        _same_arrays(prog, out)
-
-    def test_store_blocks_conversion(self):
-        b = ProgramBuilder("p")
-        a = b.array("a", (8,), I32, output=True)
-        with b.loop("i", 0, 8) as i:
-            with b.if_(i < 4):
-                a[i] = 1
-        prog = b.build()
-        out = if_convert(prog)
-        assert any(isinstance(s, If) for s in walk_stmts(out.body))
-        _same_arrays(prog, out)
-
-    def test_division_blocks_conversion(self):
-        b = ProgramBuilder("p")
-        a = b.array("a", (8,), I32, output=True)
-        x = b.local("x", I32)
-        with b.loop("i", 0, 8) as i:
-            b.assign(x, 1)
-            with b.if_(i > 0):
-                b.assign(x, Const(100, I32) / i)
-            a[i] = b.var("x")
-        prog = b.build()
-        out = if_convert(prog)
-        # converting would evaluate 100/0 in iteration 0
-        assert any(isinstance(s, If) for s in walk_stmts(out.body))
-        _same_arrays(prog, out)
-
-    def test_makes_inner_loop_single_block(self):
-        from repro.analysis import is_straightline
-        b = ProgramBuilder("p")
-        a = b.array("a", (8,), U32, output=True)
-        x = b.local("x", U32)
-        with b.loop("i", 0, 8) as i:
-            b.assign(x, a[i])
-            with b.loop("j", 0, 4, kernel=True) as j:
-                with b.if_((b.var("x") & 1).eq(1)):
-                    b.assign(x, b.var("x") * 3 + 1)
-                with b.else_():
-                    b.assign(x, b.var("x") >> 1)
-            a[i] = b.var("x")
-        prog = b.build()
-        out = if_convert(prog)
-        inner = inner_loop(out)
-        assert is_straightline(inner.body)
-        _same_arrays(prog, out)
 
 
 class TestUnrollAndJam:
